@@ -1,4 +1,4 @@
-//! Forest-inference micro-bench: scalar vs flat arena vs batched paths.
+//! Forest-inference micro-bench: scalar pointer walk vs flat arena.
 
 fn main() {
     smartflux_bench::exp::forest_inference::run();

@@ -1,33 +1,30 @@
-//! Forest-inference micro-bench: scalar pointer walk vs flat arena vs
-//! batched prediction.
+//! Forest-inference micro-bench: scalar pointer walk vs flat arena.
 //!
-//! Measures single-sample prediction latency for three Random Forest
+//! Measures single-sample prediction latency for two Random Forest
 //! inference paths over the same trained ensembles:
 //!
 //! - `scalar` — the original `Box`-node pointer walk
 //!   (`RandomForest::predict_proba_reference`), kept as the parity
 //!   oracle;
 //! - `flat` — the struct-of-arrays `TreeArena` walk behind
-//!   `RandomForest::predict_proba`;
-//! - `batched` — `RandomForest::predict_batch`, trees-outer over a probe
-//!   block, amortising per-call overhead and reusing each tree's nodes
-//!   while they are hot in cache.
+//!   `RandomForest::predict_proba`.
 //!
 //! The grid is `n_trees` ∈ {10, 50, 100} × `max_depth` ∈ {8, 16}; every
 //! cell reports nanoseconds per predicted sample (best of the
 //! repetitions — the work is deterministic, so the minimum is the
 //! measurement) and the speedup against `scalar` on the same ensemble.
-//! Acceptance target: `flat` and `batched` reach at least 3× `scalar` at
+//! Acceptance target: `flat` reaches at least 3× `scalar` at
 //! `n_trees = 50`, `depth = 16` — the LRB/AQHI-sized configuration. The
 //! achieved ratio is printed either way; hosts with small caches may sit
 //! below the target and the line says so rather than flattering the
 //! number.
 //!
-//! A second stage measures the engine-facing path: a multi-label
-//! [`Predictor`] (four QoD labels, the recall-optimised LRB forest
-//! shape) answering whole-wave `predict_all` queries. It reports
-//! waves/second and prediction nanoseconds per label, and persists both
-//! to `BENCH_ml.json` at the repo root so the bench trajectory has a
+//! A second stage measures the query the engine actually makes: a
+//! multi-label [`Predictor`] (four QoD labels, the LRB-sized forest)
+//! answering one `predict_step` call per label and wave, as
+//! `QodEngine::should_trigger` does. It reports waves/second and
+//! nanoseconds per `predict_step` call, and persists both to
+//! `BENCH_ml.json` at the repo root so the bench trajectory has a
 //! machine-readable anchor.
 
 use std::fs;
@@ -46,7 +43,7 @@ pub struct ForestInferenceRow {
     pub n_trees: usize,
     /// Tree depth cap.
     pub depth: usize,
-    /// Inference path (`scalar`, `flat`, `batched`).
+    /// Inference path (`scalar`, `flat`).
     pub path: String,
     /// Nanoseconds per predicted sample (best repetition).
     pub ns_per_predict: f64,
@@ -140,22 +137,14 @@ pub fn measure(reps: u32) -> Vec<ForestInferenceRow> {
             let (flat_ns, flat_sum) = best_ns_per_sample(reps, block.len(), || {
                 block.iter().map(|p| rf.predict_proba(p)).sum()
             });
-            let (batched_ns, batched_sum) = best_ns_per_sample(reps, block.len(), || {
-                // tidy:allow(panic): bench harness aborts loudly on a failed op
-                rf.predict_batch(&block).expect("fitted").iter().sum()
-            });
-            // The three paths are bit-identical, so identical checksums
+            // The two paths are bit-identical, so identical checksums
             // double as an in-bench parity assertion.
             assert!(
-                scalar_sum == flat_sum && flat_sum == batched_sum,
-                "inference paths diverged: {scalar_sum} / {flat_sum} / {batched_sum}"
+                scalar_sum == flat_sum,
+                "inference paths diverged: {scalar_sum} / {flat_sum}"
             );
 
-            for (path, ns) in [
-                ("scalar", scalar_ns),
-                ("flat", flat_ns),
-                ("batched", batched_ns),
-            ] {
+            for (path, ns) in [("scalar", scalar_ns), ("flat", flat_ns)] {
                 rows.push(ForestInferenceRow {
                     n_trees,
                     depth,
@@ -169,10 +158,11 @@ pub fn measure(reps: u32) -> Vec<ForestInferenceRow> {
     rows
 }
 
-/// Engine-facing measurement: a four-label [`Predictor`] answering
-/// whole-wave `predict_all` queries with the LRB-sized forest.
+/// Engine-facing measurement: a four-label [`Predictor`] with the
+/// LRB-sized forest, queried once per label and wave through
+/// `predict_step` — the engine's per-step trigger query.
 ///
-/// Returns `(waves_per_sec, predict_ns_per_label)`.
+/// Returns `(waves_per_sec, ns_per_predict_step)`.
 #[must_use]
 pub fn measure_predictor(reps: u32) -> (f64, f64) {
     const LABELS: usize = 4;
@@ -202,9 +192,10 @@ pub fn measure_predictor(reps: u32) -> (f64, f64) {
         queries
             .iter()
             .map(|q| {
-                // tidy:allow(panic): bench harness aborts loudly on a failed op
-                let d = predictor.predict_all(q).expect("trained");
-                d.iter().filter(|&&b| b).count() as f64
+                (0..LABELS)
+                    // tidy:allow(panic): bench harness aborts loudly on a failed op
+                    .filter(|&j| predictor.predict_step(j, q).expect("trained"))
+                    .count() as f64
             })
             .sum()
     });
@@ -214,20 +205,15 @@ pub fn measure_predictor(reps: u32) -> (f64, f64) {
 }
 
 /// Writes the machine-readable bench anchor next to `tidy-ratchet.json`.
-fn write_bench_json(
-    waves_per_sec: f64,
-    ns_per_label: f64,
-    flat_speedup: f64,
-    batched_speedup: f64,
-) {
+fn write_bench_json(waves_per_sec: f64, ns_per_label: f64, flat_speedup: f64) {
     let path = results_dir().join("..").join("BENCH_ml.json");
     let json = format!(
-        "{{\n  \"schema\": 1,\n  \"bench\": \"forest_inference\",\n  \
-         \"config\": {{ \"n_trees\": 50, \"depth\": 16, \"labels\": 4 }},\n  \
+        "{{\n  \"schema\": 2,\n  \"bench\": \"forest_inference\",\n  \
+         \"config\": {{ \"n_trees\": 50, \"depth\": 16, \"labels\": 4, \
+         \"query\": \"predict_step\" }},\n  \
          \"waves_per_sec\": {waves_per_sec:.0},\n  \
          \"predict_ns_per_label\": {ns_per_label:.1},\n  \
-         \"speedup_flat_vs_scalar\": {flat_speedup:.2},\n  \
-         \"speedup_batched_vs_scalar\": {batched_speedup:.2}\n}}\n"
+         \"speedup_flat_vs_scalar\": {flat_speedup:.2}\n}}\n"
     );
     // tidy:allow(panic): bench harness aborts loudly on I/O failure
     fs::write(&path, json).expect("cannot write BENCH_ml.json");
@@ -249,8 +235,8 @@ fn speedup_at(rows: &[ForestInferenceRow], path: &str, n_trees: usize, depth: us
 
 /// Runs the micro-bench and prints + persists the tables.
 pub fn run() {
-    heading("Forest inference — scalar vs flat arena vs batched");
-    println!("acceptance: flat and batched ≥ 3x scalar at n_trees=50, depth=16\n");
+    heading("Forest inference — scalar vs flat arena");
+    println!("acceptance: flat ≥ 3x scalar at n_trees=50, depth=16\n");
     let rows = measure(5);
     let mut csv = Vec::new();
     for r in &rows {
@@ -265,24 +251,21 @@ pub fn run() {
     }
     println!();
     let flat = speedup_at(&rows, "flat", 50, 16);
-    let batched = speedup_at(&rows, "batched", 50, 16);
-    for (path, ratio) in [("flat", flat), ("batched", batched)] {
-        println!(
-            "  {path:<8} at trees=50 depth=16: {ratio:.2}x ({})",
-            if ratio >= 3.0 {
-                "meets ≥3x"
-            } else {
-                "BELOW 3x"
-            }
-        );
-    }
-    if flat < 3.0 || batched < 3.0 {
+    println!(
+        "  flat     at trees=50 depth=16: {flat:.2}x ({})",
+        if flat >= 3.0 {
+            "meets ≥3x"
+        } else {
+            "BELOW 3x"
+        }
+    );
+    if flat < 3.0 {
         // Same reporting stance as store_scaling: print the honest number
         // and explain the regime rather than massage the measurement. A
         // 50-tree/depth-16 forest over 4 features is a few hundred KB of
         // nodes, so on this host the scalar baseline already runs mostly
         // out of L2 and the latency gap the interleaved walk hides is
-        // small; the flat paths win by memory-level parallelism, which
+        // small; the flat path wins by memory-level parallelism, which
         // grows with forest size (see the trees=100 rows) and with cache
         // pressure on larger hosts.
         println!(
@@ -298,10 +281,10 @@ pub fn run() {
 
     let (waves_per_sec, ns_per_label) = measure_predictor(5);
     println!(
-        "\n  predictor (4 labels, trees=50 depth=16): {waves_per_sec:.0} waves/s, \
-         {ns_per_label:.1} ns per label"
+        "\n  predictor (4 labels, trees=50 depth=16, predict_step per label): \
+         {waves_per_sec:.0} waves/s, {ns_per_label:.1} ns per predict_step"
     );
-    write_bench_json(waves_per_sec, ns_per_label, flat, batched);
+    write_bench_json(waves_per_sec, ns_per_label, flat);
 }
 
 #[cfg(test)]
@@ -311,8 +294,8 @@ mod tests {
     #[test]
     fn grid_covers_every_cell_and_paths_agree() {
         let rows = measure(1);
-        // 3 tree counts × 2 depths × 3 paths.
-        assert_eq!(rows.len(), 18);
+        // 3 tree counts × 2 depths × 2 paths.
+        assert_eq!(rows.len(), 12);
         for r in &rows {
             assert!(r.ns_per_predict > 0.0);
             assert!(r.speedup > 0.0);

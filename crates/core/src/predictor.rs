@@ -154,7 +154,7 @@ pub struct Predictor {
     quality: Option<PredictorQuality>,
     last_build_time: Option<Duration>,
     /// Inert (disabled) unless the owning engine attaches a handle; feeds
-    /// the `ml.predict_ns` / `ml.fit_ns` / `ml.batch_size` instruments.
+    /// the `ml.predict_ns` / `ml.fit_ns` instruments.
     telemetry: Telemetry,
 }
 
@@ -175,8 +175,7 @@ impl Predictor {
     }
 
     /// Attaches a telemetry handle; the predictor then feeds the
-    /// ML-kernel instruments (`ml.predict_ns`, `ml.fit_ns`,
-    /// `ml.batch_size`).
+    /// ML-kernel instruments (`ml.predict_ns`, `ml.fit_ns`).
     pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -236,16 +235,6 @@ impl Predictor {
             });
         }
         Ok(())
-    }
-
-    /// Records how many labels the latest prediction pass answered (1
-    /// for per-step queries, `n_labels` for whole-vector passes). A
-    /// gauge rather than a histogram: histograms are exported in time
-    /// units by the observability plane.
-    fn record_batch_size(&self, n: usize) {
-        if self.telemetry.is_enabled() {
-            self.telemetry.gauge(names::ML_BATCH_SIZE).set(n as i64);
-        }
     }
 
     /// Builds the single-label training view for label `j`.
@@ -348,23 +337,10 @@ impl Predictor {
     }
 
     /// Predicts which steps must execute for the given impact vector
-    /// (`true` = the step's error bound would otherwise be exceeded).
-    ///
-    /// Equivalent to [`predict_all`](Self::predict_all), kept under the
-    /// paper's name for the `h(X) = Y` query of §3.1.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NotTrained`] before training and
-    /// [`CoreError::ShapeMismatch`] on a wrong-width feature vector.
-    pub fn predict(&self, impacts: &[f64]) -> Result<Vec<bool>, CoreError> {
-        self.predict_all(impacts)
-    }
-
-    /// Walks every label model over one impact vector in a single pass:
-    /// the per-wave query shape. Each label projects its feature slice
-    /// out of the shared vector without copying, so the whole pass is
-    /// allocation-free apart from the result.
+    /// (`true` = the step's error bound would otherwise be exceeded): the
+    /// paper's `h(X) = Y` query of §3.1, every label model walked over one
+    /// impact vector. Each label projects its feature slice out of the
+    /// shared vector without copying.
     ///
     /// Queries go through the checked `try_predict` path — a present but
     /// unfitted model is rejected like an absent one, never answered
@@ -375,7 +351,7 @@ impl Predictor {
     /// Returns [`CoreError::NotTrained`] before training (or when any
     /// per-label model is unfitted) and [`CoreError::ShapeMismatch`] on
     /// a wrong-width impact vector.
-    pub fn predict_all(&self, impacts: &[f64]) -> Result<Vec<bool>, CoreError> {
+    pub fn predict(&self, impacts: &[f64]) -> Result<Vec<bool>, CoreError> {
         self.check_query(impacts)?;
         let _span = self
             .telemetry
@@ -387,7 +363,6 @@ impl Predictor {
                     .map_err(|_| CoreError::NotTrained)?,
             );
         }
-        self.record_batch_size(decisions.len());
         Ok(decisions)
     }
 
@@ -405,11 +380,9 @@ impl Predictor {
             found: j,
         })?;
         let _span = self.telemetry.span(names::ML_PREDICT_LATENCY, j as u64);
-        let decision = model
+        model
             .try_predict(self.project(j, impacts))
-            .map_err(|_| CoreError::NotTrained)?;
-        self.record_batch_size(1);
-        Ok(decision)
+            .map_err(|_| CoreError::NotTrained)
     }
 
     /// Serialises every trained per-label model into its binary form, for
@@ -434,30 +407,6 @@ impl Predictor {
         self.models = models;
         self.quality = quality;
         self.last_build_time = None;
-    }
-
-    /// Per-label execution probabilities, in the same single pass as
-    /// [`predict_all`](Self::predict_all).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NotTrained`] before training (or when any
-    /// per-label model is unfitted) and [`CoreError::ShapeMismatch`] on
-    /// a wrong-width impact vector.
-    pub fn predict_proba(&self, impacts: &[f64]) -> Result<Vec<f64>, CoreError> {
-        self.check_query(impacts)?;
-        let _span = self
-            .telemetry
-            .span(names::ML_PREDICT_LATENCY, self.models.len() as u64);
-        let mut probabilities = Vec::with_capacity(self.models.len());
-        for (j, m) in self.models.iter().enumerate() {
-            probabilities.push(
-                m.try_predict_proba(self.project(j, impacts))
-                    .map_err(|_| CoreError::NotTrained)?,
-            );
-        }
-        self.record_batch_size(probabilities.len());
-        Ok(probabilities)
     }
 }
 
@@ -551,14 +500,5 @@ mod tests {
             let q = p.train(&kb_two_steps()).unwrap();
             assert!(q.accuracy > 0.7, "kind {kind:?} accuracy {}", q.accuracy);
         }
-    }
-
-    #[test]
-    fn probabilities_are_in_unit_interval() {
-        let mut p = Predictor::new(ModelKind::default(), 3);
-        p.train(&kb_two_steps()).unwrap();
-        let probs = p.predict_proba(&[5.0, 3.0]).unwrap();
-        assert_eq!(probs.len(), 2);
-        assert!(probs.iter().all(|v| (0.0..=1.0).contains(v)));
     }
 }

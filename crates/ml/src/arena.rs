@@ -32,20 +32,20 @@
 //!   arithmetic. This is what keeps flat predictions bit-identical to
 //!   the reference path (see `tests/parity.rs`).
 //!
-//! The predict paths walk several trees (or several samples) in
-//! interleaved lanes: a tree descent is a chain of dependent loads, so a
-//! single walk is bound by memory latency, not bandwidth or compute.
-//! Stepping [`LANES`] descents round-robin keeps that many loads in
-//! flight, and the self-looping leaves make the inner loop branchless —
-//! together these are what make the flat layout measurably faster than
-//! pointer chasing; the layout alone merely matches it (the
-//! `forest_inference` bench in `smartflux-bench` measures all paths).
+//! The predict path walks several trees of one sample in interleaved
+//! lanes: a tree descent is a chain of dependent loads, so a single walk
+//! is bound by memory latency, not bandwidth or compute. Stepping
+//! [`LANES`] descents round-robin keeps that many loads in flight, and
+//! the self-looping leaves make the inner loop branchless — together
+//! these are what make the flat layout measurably faster than pointer
+//! chasing; the layout alone merely matches it (the `forest_inference`
+//! bench in `smartflux-bench` measures both paths).
 //!
 //! [`DecisionTree`]: crate::DecisionTree
 
 /// Concurrent walk width: how many independent tree descents are kept in
-/// flight at once (trees per group in [`TreeArena::predict_proba`],
-/// samples per block in [`TreeArena::predict_batch`]). Sixteen dependent
+/// flight at once (trees per group in [`TreeArena::predict_proba`]).
+/// Sixteen dependent
 /// load chains keep the load units saturated across L1/L2 latency on
 /// current cores while the lane cursors still fit in registers; the
 /// `forest_inference` bench measured 16 consistently ahead of 8 here.
@@ -203,18 +203,18 @@ impl TreeArena {
     /// for completion every second level, trading at most one wasted
     /// double-step per group for a much shorter dependency path.
     #[inline]
-    fn walk_lanes<'a>(&self, lanes: &mut [u32], safe: u32, features: impl Fn(usize) -> &'a [f64]) {
+    fn walk_lanes(&self, lanes: &mut [u32], safe: u32, features: &[f64]) {
         for _ in 0..safe {
-            for (l, c) in lanes.iter_mut().enumerate() {
-                self.step(c, features(l));
+            for c in lanes.iter_mut() {
+                self.step(c, features);
             }
         }
         while !lanes.iter().all(|&c| self.is_leaf(c)) {
-            for (l, c) in lanes.iter_mut().enumerate() {
-                self.step(c, features(l));
+            for c in lanes.iter_mut() {
+                self.step(c, features);
             }
-            for (l, c) in lanes.iter_mut().enumerate() {
-                self.step(c, features(l));
+            for c in lanes.iter_mut() {
+                self.step(c, features);
             }
         }
     }
@@ -239,45 +239,12 @@ impl TreeArena {
             let lanes = &mut cur[..group.len()];
             lanes.copy_from_slice(group);
             let safe = depths.iter().copied().min().unwrap_or(0);
-            self.walk_lanes(lanes, safe, |_| features);
+            self.walk_lanes(lanes, safe, features);
             for &c in lanes.iter() {
                 sum += self.leaf_proba[c as usize];
             }
         }
         sum / self.roots.len() as f64
-    }
-
-    /// Ensemble-averaged probabilities for a batch of samples.
-    ///
-    /// Iterates trees in the outer loop so each tree's node region stays
-    /// hot in cache across the whole batch, walking [`LANES`] samples
-    /// concurrently per tree (one lane per sample). Per sample the tree
-    /// contributions accumulate in ensemble order — the same f64
-    /// addition sequence as [`predict_proba`] — keeping batch results
-    /// bit-identical to per-sample results.
-    #[must_use]
-    pub fn predict_batch<S: AsRef<[f64]>>(&self, samples: &[S]) -> Vec<f64> {
-        let mut sums = vec![0.0_f64; samples.len()];
-        let mut cur = [0_u32; LANES];
-        for (&root, &safe) in self.roots.iter().zip(&self.min_depths) {
-            for (block, sums_block) in samples.chunks(LANES).zip(sums.chunks_mut(LANES)) {
-                let mut refs: [&[f64]; LANES] = [&[]; LANES];
-                for (r, s) in refs.iter_mut().zip(block) {
-                    *r = s.as_ref();
-                }
-                let lanes = &mut cur[..block.len()];
-                lanes.fill(root);
-                self.walk_lanes(lanes, safe, |l| refs[l]);
-                for (sum, &c) in sums_block.iter_mut().zip(lanes.iter()) {
-                    *sum += self.leaf_proba[c as usize];
-                }
-            }
-        }
-        let n = self.roots.len() as f64;
-        for sum in &mut sums {
-            *sum /= n;
-        }
-        sums
     }
 }
 
@@ -325,21 +292,6 @@ mod tests {
         a.record_depth(0);
         assert_eq!(a.predict_proba(&[1.0, 0.0]), (0.1 + 1.0) / 2.0);
         assert_eq!(a.predict_proba(&[9.0, 3.0]), (0.9 + 1.0) / 2.0);
-    }
-
-    #[test]
-    fn batch_matches_per_sample() {
-        let a = small_arena();
-        let samples: Vec<Vec<f64>> = vec![
-            vec![1.0, 0.0],
-            vec![9.0, 1.0],
-            vec![9.0, 3.0],
-            vec![5.0, 2.0],
-        ];
-        let batched = a.predict_batch(&samples);
-        for (s, b) in samples.iter().zip(&batched) {
-            assert_eq!(a.predict_proba(s), *b);
-        }
     }
 
     #[test]

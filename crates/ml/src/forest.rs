@@ -224,26 +224,6 @@ impl RandomForest {
         let sum: f64 = self.trees.iter().map(|t| t.predict_proba(features)).sum();
         sum / self.trees.len() as f64
     }
-
-    /// Ensemble probabilities for a batch of samples in one
-    /// cache-friendly pass (trees outer, samples inner), bit-identical
-    /// to calling [`predict_proba`] per sample.
-    ///
-    /// Unlike the trait path this is export-consistent about training
-    /// state: an unfitted forest is rejected instead of answering with
-    /// the prior.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::NotFitted`] before a successful fit or decode.
-    ///
-    /// [`predict_proba`]: Classifier::predict_proba
-    pub fn predict_batch<S: AsRef<[f64]>>(&self, samples: &[S]) -> Result<Vec<f64>, MlError> {
-        if self.arena.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        Ok(self.arena.predict_batch(samples))
-    }
 }
 
 impl RandomForest {
@@ -628,7 +608,6 @@ mod tests {
         // …which is exactly why the checked paths refuse to answer.
         assert_eq!(rf.try_predict_proba(&[1.0]), Err(MlError::NotFitted));
         assert_eq!(rf.try_predict(&[1.0]), Err(MlError::NotFitted));
-        assert_eq!(rf.predict_batch(&[vec![1.0]]), Err(MlError::NotFitted));
     }
 
     #[test]
@@ -644,17 +623,6 @@ mod tests {
                 rf.predict_proba_reference(&probe),
                 "x={x}"
             );
-        }
-    }
-
-    #[test]
-    fn batch_matches_per_sample_predictions() {
-        let mut rf = RandomForest::new(12).with_seed(8);
-        rf.fit(&banded()).unwrap();
-        let samples: Vec<Vec<f64>> = (-10..40).map(|x| vec![f64::from(x)]).collect();
-        let batched = rf.predict_batch(&samples).unwrap();
-        for (sample, p) in samples.iter().zip(&batched) {
-            assert_eq!(rf.predict_proba(sample), *p);
         }
     }
 

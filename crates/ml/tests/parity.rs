@@ -1,9 +1,8 @@
 //! Seeded parity suite for the flattened forest kernel.
 //!
-//! The flat struct-of-arrays arena, the batched predict path, and the
-//! parallel trainer are pure performance work: every one of them must be
-//! bit-identical to the original pointer-walking, sequential
-//! implementation. These tests pin that equivalence with `==` on `f64`
+//! The flat struct-of-arrays arena and the parallel trainer are pure
+//! performance work: each must be bit-identical to the original
+//! pointer-walking, sequential implementation. These tests pin that equivalence with `==` on `f64`
 //! (never a tolerance) across a grid of seeds, ensemble sizes, and
 //! depths, including the `SFRF`/`SFML` codec round-trips the recovery
 //! path relies on.
@@ -73,21 +72,6 @@ fn flat_arena_is_bit_identical_to_pointer_walk() {
 }
 
 #[test]
-fn batched_predictions_are_bit_identical_to_per_sample() {
-    for seed in [3_u64, 99] {
-        let mut rf = RandomForest::new(30).with_max_depth(12).with_seed(seed);
-        rf.fit(&dataset(400, seed)).expect("fit");
-        let batch = probes(500);
-        let batched = rf.predict_batch(&batch).expect("fitted");
-        assert_eq!(batched.len(), batch.len());
-        for (probe, p) in batch.iter().zip(&batched) {
-            assert!(rf.predict_proba(probe) == *p, "seed={seed}");
-            assert!(rf.predict_proba_reference(probe) == *p, "seed={seed}");
-        }
-    }
-}
-
-#[test]
 fn sfrf_round_trip_rebuilds_the_same_flat_arena() {
     let mut rf = RandomForest::new(25)
         .with_max_depth(10)
@@ -102,12 +86,11 @@ fn sfrf_round_trip_rebuilds_the_same_flat_arena() {
     assert_eq!(restored.arena(), rf.arena());
     assert_eq!(restored.arena().n_nodes(), rf.arena().n_nodes());
 
-    // And the batched path over the decoded forest matches the original
-    // per-sample path bit-for-bit.
-    let batch = probes(300);
-    let original = rf.predict_batch(&batch).expect("fitted");
-    let decoded = restored.predict_batch(&batch).expect("fitted");
-    assert_eq!(original, decoded);
+    // And the decoded forest answers every probe bit-for-bit like the
+    // original.
+    for probe in probes(300) {
+        assert!(rf.predict_proba(&probe) == restored.predict_proba(&probe));
+    }
 
     // Text codec too (decimal round-trip is exact for these values or
     // not — so compare through the stricter arena equality only after

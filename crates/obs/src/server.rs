@@ -237,7 +237,6 @@ pub fn preregister(telemetry: &Telemetry) {
         names::STORE_SHARD_READ_CONTENTION,
         names::STORE_SHARD_WRITE_CONTENTION,
         names::STORE_QUIESCES,
-        names::ML_BATCH_SIZE,
         names::NET_ACTIVE_CONNECTIONS,
         names::NET_SESSIONS_OPEN,
         names::NET_QUEUE_DEPTH,

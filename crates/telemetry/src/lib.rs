@@ -335,9 +335,6 @@ pub mod names {
     /// only, excluding the cross-validated test phase that
     /// [`TRAIN_LATENCY`] covers).
     pub const ML_FIT_LATENCY: &str = "ml.fit_ns";
-    /// Labels answered by the latest prediction pass (1 for per-step
-    /// queries, the label count for whole-vector `predict_all` passes).
-    pub const ML_BATCH_SIZE: &str = "ml.batch_size";
     /// Data-store read operations (gets, scans, snapshots).
     pub const STORE_READS: &str = "store.reads";
     /// Data-store write operations (puts, deletes).

@@ -152,19 +152,22 @@ impl Histogram {
             std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         let count: u64 = buckets.iter().sum();
         let sum_ns = self.sum_ns.load(Ordering::Relaxed);
+        let max_ns = self.max_ns.load(Ordering::Relaxed);
         HistogramSnapshot {
             count,
             sum_ns,
-            max_ns: self.max_ns.load(Ordering::Relaxed),
-            p50_ns: percentile(&buckets, count, 0.50),
-            p95_ns: percentile(&buckets, count, 0.95),
-            p99_ns: percentile(&buckets, count, 0.99),
+            max_ns,
+            p50_ns: percentile(&buckets, count, 0.50).min(max_ns),
+            p95_ns: percentile(&buckets, count, 0.95).min(max_ns),
+            p99_ns: percentile(&buckets, count, 0.99).min(max_ns),
             buckets,
         }
     }
 }
 
-/// Returns the upper bound of the bucket containing quantile `q`.
+/// Returns the upper bound of the bucket containing quantile `q`
+/// (`u64::MAX` for the overflow bucket). Callers clamp it to the observed
+/// max: a bucket's bound can lie far above every value in it.
 fn percentile(buckets: &[u64], count: u64, q: f64) -> u64 {
     if count == 0 {
         return 0;
@@ -189,11 +192,12 @@ pub struct HistogramSnapshot {
     pub sum_ns: u64,
     /// Largest observation, in nanoseconds.
     pub max_ns: u64,
-    /// Median (upper bound of the containing bucket), in nanoseconds.
+    /// Median, in nanoseconds: the upper bound of the containing bucket,
+    /// clamped to [`max_ns`](Self::max_ns).
     pub p50_ns: u64,
-    /// 95th percentile, in nanoseconds.
+    /// 95th percentile, in nanoseconds (bucket bound clamped to the max).
     pub p95_ns: u64,
-    /// 99th percentile, in nanoseconds.
+    /// 99th percentile, in nanoseconds (bucket bound clamped to the max).
     pub p99_ns: u64,
     /// Per-bucket observation counts. Index `i < BUCKET_BOUNDS_NS.len()`
     /// counts observations `<= BUCKET_BOUNDS_NS[i]`; the final slot is the
@@ -427,7 +431,37 @@ mod tests {
         h.record(Duration::from_secs(1000));
         let s = h.snapshot();
         assert_eq!(s.count, 1);
-        assert_eq!(s.p50_ns, u64::MAX);
+        assert_eq!(s.buckets[BUCKET_COUNT - 1], 1);
+        // The overflow bucket has no upper bound; the quantile reports the
+        // observed max instead.
+        assert_eq!(s.p50_ns, 1_000_000_000_000);
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_observed_max() {
+        // Seeded log-uniform durations from 1 ns to ~3 h, so samples land
+        // mid-bucket and in the overflow bucket.
+        for seed in 1..=50_u64 {
+            let mut state = seed;
+            let mut next = || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            };
+            let h = Histogram::default();
+            let samples = 1 + next() % 200;
+            for _ in 0..samples {
+                let exponent = (next() % 1_300) as f64 / 100.0;
+                h.record_ns(10_f64.powf(exponent) as u64);
+            }
+            let s = h.snapshot();
+            for (name, p) in [("p50", s.p50_ns), ("p95", s.p95_ns), ("p99", s.p99_ns)] {
+                assert!(p <= s.max_ns, "seed {seed}: {name} {p} > max {}", s.max_ns);
+            }
+            assert!(s.p50_ns <= s.p95_ns && s.p95_ns <= s.p99_ns, "seed {seed}");
+        }
     }
 
     #[test]

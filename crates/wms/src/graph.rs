@@ -43,6 +43,9 @@ pub struct WorkflowGraph {
     nodes: Vec<StepNode>,
     by_name: BTreeMap<String, StepId>,
     topo: Vec<StepId>,
+    /// Per-step level, indexed by step: 0 for sources, otherwise one more
+    /// than the deepest predecessor.
+    levels: Vec<usize>,
 }
 
 impl WorkflowGraph {
@@ -112,9 +115,24 @@ impl WorkflowGraph {
     }
 
     /// A topological ordering of all steps (stable across calls).
+    ///
+    /// Steps appear in non-decreasing [`level`](Self::level), so each
+    /// level is one contiguous run of the order.
     #[must_use]
     pub fn topo_order(&self) -> &[StepId] {
         &self.topo
+    }
+
+    /// The step's level: 0 for sources, otherwise one more than the
+    /// deepest predecessor's level. Steps of one level never depend on
+    /// each other.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to this graph.
+    #[must_use]
+    pub fn level(&self, id: StepId) -> usize {
+        self.levels[id.0]
     }
 
     /// Iterates all step ids in insertion order.
@@ -247,17 +265,32 @@ impl GraphBuilder {
             return Err(GraphError::Empty(self.name));
         }
         let topo = topo_sort(&self.nodes).ok_or_else(|| GraphError::Cycle(self.name.clone()))?;
+        let mut levels = vec![0; self.nodes.len()];
+        for &step in &topo {
+            levels[step.0] = self.nodes[step.0]
+                .preds
+                .iter()
+                .map(|p| levels[p.0] + 1)
+                .max()
+                .unwrap_or(0);
+        }
         Ok(WorkflowGraph {
             name: self.name,
             nodes: self.nodes,
             by_name: self.by_name,
             topo,
+            levels,
         })
     }
 }
 
 /// Kahn's algorithm; returns `None` on a cycle. Ties are broken by insertion
 /// order so the ordering is deterministic.
+///
+/// The ready list is a FIFO queue, so steps leave it level by level: a
+/// step becomes ready when its deepest (last-emitted) predecessor is
+/// emitted, so the queue only ever holds levels `d` and `d + 1`, in that
+/// order. The scheduler's level-parallel waves rely on this.
 fn topo_sort(nodes: &[StepNode]) -> Option<Vec<StepId>> {
     let mut indegree: Vec<usize> = nodes.iter().map(|n| n.preds.len()).collect();
     let mut ready: Vec<usize> = (0..nodes.len()).filter(|&i| indegree[i] == 0).collect();
@@ -311,6 +344,25 @@ mod tests {
         assert!(pos(a) < pos(r));
         assert!(pos(l) < pos(d));
         assert!(pos(r) < pos(d));
+    }
+
+    #[test]
+    fn levels_follow_the_deepest_predecessor() {
+        let mut b = GraphBuilder::new("skew");
+        let a = b.add_step("a");
+        let x = b.add_step("x");
+        let y = b.add_step("y");
+        let j = b.add_step("j");
+        b.add_chain(&[a, x, y, j]).unwrap();
+        b.add_edge(a, j).unwrap();
+        let g = b.build().unwrap();
+        assert_eq!(
+            [a, x, y, j].map(|s| g.level(s)),
+            [0, 1, 2, 3],
+            "a short edge does not pull the join up"
+        );
+        let (d, [a, l, r, j]) = diamond();
+        assert_eq!([a, l, r, j].map(|s| d.level(s)), [0, 1, 1, 2]);
     }
 
     #[test]

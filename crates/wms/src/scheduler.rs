@@ -113,13 +113,13 @@ struct StepExecution {
 /// Executes `implementation` under `retry`: up to `max_attempts` tries,
 /// separated by the policy's deterministic backoff delays, each optionally
 /// bounded by a watchdog timeout. A fresh [`StepContext`] is built per
-/// attempt. Runs on the calling thread, so the parallel scheduler invokes
+/// attempt. Runs on the calling thread, so a level-parallel batch invokes
 /// it from each worker and sibling backoffs overlap instead of serialising.
 ///
 /// Each attempt opens a `wms.step_attempt` span (tag = attempt number), so
 /// retries show up as sibling children of the enclosing step span in trace
 /// trees.
-#[allow(clippy::too_many_arguments)] // flat borrows: both schedulers call this from worker scopes
+#[allow(clippy::too_many_arguments)] // flat field borrows: runs on scoped workers, which cannot share the scheduler
 fn run_step_with_retry(
     telemetry: &Telemetry,
     abandoned: &AbandonedWatchdogs,
@@ -225,6 +225,15 @@ fn attempt_with_watchdog(
             Err(StepError::msg("step panicked"))
         }
     }
+}
+
+/// When a wave loop runs its batch of triggered steps.
+#[derive(Debug, Clone, Copy)]
+enum Flush {
+    /// After every step: triggered steps run one at a time.
+    EveryStep,
+    /// Where the level changes: a level's triggered steps run together.
+    EveryLevel,
 }
 
 /// Drives a [`Workflow`] through waves of continuous processing.
@@ -354,7 +363,8 @@ impl Scheduler {
         }
     }
 
-    /// Runs a single wave.
+    /// Runs a single wave, executing triggered steps one at a time in
+    /// topological order.
     ///
     /// # Errors
     ///
@@ -367,118 +377,7 @@ impl Scheduler {
     ///
     /// [`WaveAborted`]: SchedulerEvent::WaveAborted
     pub fn run_wave(&mut self) -> Result<WaveOutcome, WmsError> {
-        if let Some(id) = self.workflow.first_unbound() {
-            return Err(WmsError::UnboundStep(
-                self.workflow.graph().step_name(id).to_owned(),
-            ));
-        }
-        let wave = self.next_wave;
-        self.next_wave += 1;
-
-        let _wave_span = self.telemetry.span(names::WAVE_LATENCY, wave);
-        self.events.publish(&SchedulerEvent::WaveStarted { wave });
-        self.policy.begin_wave(wave, &self.workflow);
-
-        let mut outcome = WaveOutcome {
-            wave,
-            executed: Vec::new(),
-            skipped: Vec::new(),
-            deferred: Vec::new(),
-        };
-
-        let order: Vec<StepId> = self.workflow.graph().topo_order().to_vec();
-        for step in order {
-            let preds_ready = self
-                .workflow
-                .graph()
-                .predecessors(step)
-                .iter()
-                .all(|p| self.ever_executed[p.index()]);
-            if !preds_ready {
-                self.stats.record_deferral(step);
-                self.note_deferred();
-                outcome.deferred.push(step);
-                self.policy.step_deferred(wave, step, &self.workflow);
-                self.events
-                    .publish(&SchedulerEvent::StepDeferred { wave, step });
-                continue;
-            }
-
-            let info = self.workflow.info(step);
-            let trigger =
-                info.always_run() || self.policy.should_trigger(wave, step, &self.workflow);
-
-            if trigger {
-                self.events
-                    .publish(&SchedulerEvent::StepTriggered { wave, step });
-                let implementation = self
-                    .workflow
-                    .info(step)
-                    .implementation()
-                    .ok_or_else(|| {
-                        WmsError::UnboundStep(self.workflow.graph().step_name(step).to_owned())
-                    })?
-                    .clone();
-                let retry = self.workflow.info(step).retry();
-                let name = self.workflow.graph().step_name(step).to_owned();
-                let exec = {
-                    // Scoped so the step span closes before policy callbacks
-                    // run; the span's tag is the step index.
-                    let _step_span = self
-                        .telemetry
-                        .span(names::STEP_TOTAL_LATENCY, step.index() as u64);
-                    run_step_with_retry(
-                        &self.telemetry,
-                        &self.abandoned,
-                        &implementation,
-                        retry,
-                        &self.store,
-                        wave,
-                        step,
-                        &name,
-                    )
-                };
-                self.publish_retries(wave, step, exec.attempts);
-                match exec.outcome {
-                    Ok(elapsed) => {
-                        self.stats.record_execution(step, elapsed);
-                        self.note_executed(elapsed);
-                        self.ever_executed[step.index()] = true;
-                        outcome.executed.push(step);
-                        self.policy.step_completed(wave, step, &self.workflow);
-                        self.events
-                            .publish(&SchedulerEvent::StepCompleted { wave, step });
-                    }
-                    Err(source) => {
-                        let failure = StepFailure {
-                            step,
-                            step_name: name,
-                            attempts: exec.attempts,
-                            source,
-                        };
-                        return Err(self.abort_wave(wave, &outcome, vec![failure]));
-                    }
-                }
-            } else {
-                self.stats.record_skip(step);
-                self.note_skipped();
-                outcome.skipped.push(step);
-                self.policy.step_skipped(wave, step, &self.workflow);
-                self.events
-                    .publish(&SchedulerEvent::StepSkipped { wave, step });
-            }
-        }
-
-        self.policy.end_wave(wave, &self.workflow);
-        self.stats.record_wave();
-        self.abandoned.reap_finished();
-        self.events.publish(&SchedulerEvent::WaveCompleted {
-            wave,
-            executed: outcome.executed.len(),
-            skipped: outcome.skipped.len(),
-            deferred: outcome.deferred.len(),
-        });
-        Ok(outcome)
+        self.run_wave_flushing(Flush::EveryStep)
     }
 
     /// Runs `count` consecutive waves, returning each outcome.
@@ -502,7 +401,8 @@ impl Scheduler {
     /// still made sequentially in topological order, so adaptive policies
     /// observe exactly the same state they would under [`run_wave`]; only
     /// the `execute` calls of one level run concurrently, on scoped
-    /// threads.
+    /// threads (a level with a single triggered step runs it on the
+    /// calling thread).
     ///
     /// [`run_wave`]: Self::run_wave
     ///
@@ -515,6 +415,20 @@ impl Scheduler {
     /// carrying them all. The wave aborts before later levels run, with
     /// the same clean-abort guarantees as `run_wave`.
     pub fn run_wave_parallel(&mut self) -> Result<WaveOutcome, WmsError> {
+        self.run_wave_flushing(Flush::EveryLevel)
+    }
+
+    /// The one wave loop behind [`run_wave`](Self::run_wave) and
+    /// [`run_wave_parallel`](Self::run_wave_parallel).
+    ///
+    /// Walks `topo_order()` deciding each step — deferred, skipped, or
+    /// triggered into a `pending` batch — and runs the batch whenever
+    /// `flush` says so. Flushing after every step gives the sequential
+    /// order of callbacks and events; flushing where the level changes
+    /// gives the level-parallel order. Topological order lists levels
+    /// contiguously, so a level's steps are all decided before any of
+    /// them runs.
+    fn run_wave_flushing(&mut self, flush: Flush) -> Result<WaveOutcome, WmsError> {
         if let Some(id) = self.workflow.first_unbound() {
             return Err(WmsError::UnboundStep(
                 self.workflow.graph().step_name(id).to_owned(),
@@ -533,130 +447,48 @@ impl Scheduler {
             skipped: Vec::new(),
             deferred: Vec::new(),
         };
+        let mut pending: Vec<StepId> = Vec::new();
 
-        for level in self.topological_levels() {
-            // Phase 1: sequential decisions for this level.
-            let mut to_run: Vec<StepId> = Vec::new();
-            for step in level {
-                let preds_ready = self
-                    .workflow
-                    .graph()
-                    .predecessors(step)
-                    .iter()
-                    .all(|p| self.ever_executed[p.index()]);
-                if !preds_ready {
-                    self.stats.record_deferral(step);
-                    self.note_deferred();
-                    outcome.deferred.push(step);
-                    self.policy.step_deferred(wave, step, &self.workflow);
-                    self.events
-                        .publish(&SchedulerEvent::StepDeferred { wave, step });
-                    continue;
-                }
-                let info = self.workflow.info(step);
-                let trigger =
-                    info.always_run() || self.policy.should_trigger(wave, step, &self.workflow);
-                if trigger {
-                    self.events
-                        .publish(&SchedulerEvent::StepTriggered { wave, step });
-                    to_run.push(step);
-                } else {
-                    self.stats.record_skip(step);
-                    self.note_skipped();
-                    outcome.skipped.push(step);
-                    self.policy.step_skipped(wave, step, &self.workflow);
-                    self.events
-                        .publish(&SchedulerEvent::StepSkipped { wave, step });
-                }
+        let steps = self.workflow.graph().len();
+        for i in 0..steps {
+            let graph = self.workflow.graph();
+            let step = graph.topo_order()[i];
+            let preds_ready = graph
+                .predecessors(step)
+                .iter()
+                .all(|p| self.ever_executed[p.index()]);
+            if !preds_ready {
+                self.stats.record_deferral(step);
+                self.note_deferred();
+                outcome.deferred.push(step);
+                self.policy.step_deferred(wave, step, &self.workflow);
+                self.events
+                    .publish(&SchedulerEvent::StepDeferred { wave, step });
+            } else if self.workflow.info(step).always_run()
+                || self.policy.should_trigger(wave, step, &self.workflow)
+            {
+                self.events
+                    .publish(&SchedulerEvent::StepTriggered { wave, step });
+                pending.push(step);
+            } else {
+                self.stats.record_skip(step);
+                self.note_skipped();
+                outcome.skipped.push(step);
+                self.policy.step_skipped(wave, step, &self.workflow);
+                self.events
+                    .publish(&SchedulerEvent::StepSkipped { wave, step });
             }
 
-            // Phase 2: concurrent execution of the level's triggered steps.
-            let mut implementations = Vec::with_capacity(to_run.len());
-            for &step in &to_run {
-                let implementation = self
-                    .workflow
-                    .info(step)
-                    .implementation()
-                    .ok_or_else(|| {
-                        WmsError::UnboundStep(self.workflow.graph().step_name(step).to_owned())
-                    })?
-                    .clone();
-                implementations.push(implementation);
-            }
-            // Capture the wave span's trace context once; each worker
-            // re-enters it so its step span parents under the wave root.
-            let trace_ctx = self.telemetry.trace_context();
-            let results: Vec<(StepId, StepExecution)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = to_run
-                    .iter()
-                    .zip(&implementations)
-                    .map(|(&step, implementation)| {
-                        let name = self.workflow.graph().step_name(step);
-                        let retry = self.workflow.info(step).retry();
-                        let store = &self.store;
-                        let telemetry = &self.telemetry;
-                        let abandoned = &self.abandoned;
-                        scope.spawn(move || {
-                            let _trace_guard = telemetry.propagate(trace_ctx);
-                            let _step_span =
-                                telemetry.span(names::STEP_TOTAL_LATENCY, step.index() as u64);
-                            run_step_with_retry(
-                                telemetry,
-                                abandoned,
-                                implementation,
-                                retry,
-                                store,
-                                wave,
-                                step,
-                                name,
-                            )
-                        })
-                    })
-                    .collect();
-                to_run
-                    .iter()
-                    .zip(handles)
-                    .map(|(&step, h)| {
-                        // `run_step_with_retry` catches step panics itself;
-                        // this guards the worker harness, not the step.
-                        let exec = h.join().unwrap_or_else(|_| StepExecution {
-                            outcome: Err(StepError::msg("step panicked")),
-                            attempts: 1,
-                        });
-                        (step, exec)
-                    })
-                    .collect()
-            });
-
-            // Process results in topological order so adaptive policies and
-            // event subscribers observe the same per-step sequence as the
-            // sequential scheduler. Every failure is kept: the parallel
-            // path must not drop sibling failures of a level.
-            let mut failures: Vec<StepFailure> = Vec::new();
-            for (step, exec) in results {
-                self.publish_retries(wave, step, exec.attempts);
-                match exec.outcome {
-                    Ok(elapsed) => {
-                        self.stats.record_execution(step, elapsed);
-                        self.note_executed(elapsed);
-                        self.ever_executed[step.index()] = true;
-                        outcome.executed.push(step);
-                        self.policy.step_completed(wave, step, &self.workflow);
-                        self.events
-                            .publish(&SchedulerEvent::StepCompleted { wave, step });
-                    }
-                    Err(source) => {
-                        failures.push(StepFailure {
-                            step,
-                            step_name: self.workflow.graph().step_name(step).to_owned(),
-                            attempts: exec.attempts,
-                            source,
-                        });
-                    }
-                }
-            }
-            if !failures.is_empty() {
-                return Err(self.abort_wave(wave, &outcome, failures));
+            let graph = self.workflow.graph();
+            let boundary = match flush {
+                Flush::EveryStep => true,
+                Flush::EveryLevel => graph
+                    .topo_order()
+                    .get(i + 1)
+                    .is_none_or(|&next| graph.level(next) != graph.level(step)),
+            };
+            if boundary && !pending.is_empty() {
+                self.run_pending(wave, &mut outcome, &mut pending)?;
             }
         }
 
@@ -670,6 +502,114 @@ impl Scheduler {
             deferred: outcome.deferred.len(),
         });
         Ok(outcome)
+    }
+
+    /// Runs the `pending` batch (emptying it), then publishes each step's
+    /// retries and completion in topological order. Every failure of the
+    /// batch is kept — siblings are never dropped — and aborts the wave.
+    fn run_pending(
+        &mut self,
+        wave: WaveId,
+        outcome: &mut WaveOutcome,
+        pending: &mut Vec<StepId>,
+    ) -> Result<(), WmsError> {
+        let results = self.execute_batch(wave, pending)?;
+        let mut failures: Vec<StepFailure> = Vec::new();
+        for (step, exec) in pending.drain(..).zip(results) {
+            self.publish_retries(wave, step, exec.attempts);
+            match exec.outcome {
+                Ok(elapsed) => {
+                    self.stats.record_execution(step, elapsed);
+                    self.note_executed(elapsed);
+                    self.ever_executed[step.index()] = true;
+                    outcome.executed.push(step);
+                    self.policy.step_completed(wave, step, &self.workflow);
+                    self.events
+                        .publish(&SchedulerEvent::StepCompleted { wave, step });
+                }
+                Err(source) => failures.push(StepFailure {
+                    step,
+                    step_name: self.workflow.graph().step_name(step).to_owned(),
+                    attempts: exec.attempts,
+                    source,
+                }),
+            }
+        }
+        if failures.is_empty() {
+            Ok(())
+        } else {
+            Err(self.abort_wave(wave, outcome, failures))
+        }
+    }
+
+    /// Executes `steps` through their retry budgets, returning one result
+    /// per step in the same order. A single step runs inline on the
+    /// calling thread; several run concurrently on scoped threads, each
+    /// re-entering the caller's trace context so its step span parents
+    /// under the wave span.
+    fn execute_batch(
+        &self,
+        wave: WaveId,
+        steps: &[StepId],
+    ) -> Result<Vec<StepExecution>, WmsError> {
+        // Field borrows, not `&self`: the policy is `Send` but not `Sync`,
+        // so the scheduler as a whole cannot be shared with workers.
+        let Self {
+            workflow,
+            store,
+            telemetry,
+            abandoned,
+            ..
+        } = self;
+        let mut implementations = Vec::with_capacity(steps.len());
+        for &step in steps {
+            implementations.push(workflow.info(step).implementation().ok_or_else(|| {
+                WmsError::UnboundStep(workflow.graph().step_name(step).to_owned())
+            })?);
+        }
+        let run = |step: StepId, implementation: &Arc<dyn Step>| {
+            // Scoped so the step span closes before policy callbacks run;
+            // the span's tag is the step index.
+            let _step_span = telemetry.span(names::STEP_TOTAL_LATENCY, step.index() as u64);
+            run_step_with_retry(
+                telemetry,
+                abandoned,
+                implementation,
+                workflow.info(step).retry(),
+                store,
+                wave,
+                step,
+                workflow.graph().step_name(step),
+            )
+        };
+        if let ([step], [implementation]) = (steps, implementations.as_slice()) {
+            return Ok(vec![run(*step, implementation)]);
+        }
+        let trace_ctx = telemetry.trace_context();
+        Ok(std::thread::scope(|scope| {
+            let handles: Vec<_> = steps
+                .iter()
+                .zip(&implementations)
+                .map(|(&step, implementation)| {
+                    let run = &run;
+                    scope.spawn(move || {
+                        let _trace_guard = telemetry.propagate(trace_ctx);
+                        run(step, implementation)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    // `run_step_with_retry` catches step panics itself;
+                    // this guards the worker harness, not the step.
+                    h.join().unwrap_or_else(|_| StepExecution {
+                        outcome: Err(StepError::msg("step panicked")),
+                        attempts: 1,
+                    })
+                })
+                .collect()
+        }))
     }
 
     /// Completes a wave that cannot finish: records every failure, keeps
@@ -757,27 +697,6 @@ impl Scheduler {
         if self.telemetry.is_enabled() {
             self.telemetry.counter(names::STEPS_FAILED).incr();
         }
-    }
-
-    /// Groups the DAG into topological levels: level 0 holds the sources,
-    /// level k the steps whose deepest predecessor sits in level k−1.
-    fn topological_levels(&self) -> Vec<Vec<StepId>> {
-        let graph = self.workflow.graph();
-        let mut depth = vec![0usize; graph.len()];
-        for &step in graph.topo_order() {
-            depth[step.index()] = graph
-                .predecessors(step)
-                .iter()
-                .map(|p| depth[p.index()] + 1)
-                .max()
-                .unwrap_or(0);
-        }
-        let max_depth = depth.iter().copied().max().unwrap_or(0);
-        let mut levels = vec![Vec::new(); max_depth + 1];
-        for &step in graph.topo_order() {
-            levels[depth[step.index()]].push(step);
-        }
-        levels
     }
 }
 

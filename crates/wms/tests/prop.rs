@@ -28,6 +28,26 @@ fn forward_dag() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
     })
 }
 
+/// Random DAGs whose insertion order is *not* a topological order: every
+/// step gets a random rank and edges run from lower to higher rank, so
+/// Kahn's tie-breaking by insertion index sees arbitrary layouts.
+fn shuffled_dag() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (2usize..12).prop_flat_map(|n| {
+        let keys = prop::collection::vec(0u64..1_000_000, n);
+        let pairs = prop::collection::vec((0..n, 0..n), 0..30);
+        (keys, pairs).prop_map(move |(keys, pairs)| {
+            let mut by_rank: Vec<usize> = (0..n).collect();
+            by_rank.sort_by_key(|&i| (keys[i], i));
+            let edges = pairs
+                .into_iter()
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| (by_rank[a.min(b)], by_rank[a.max(b)]))
+                .collect();
+            (n, edges)
+        })
+    })
+}
+
 fn build_graph(n: usize, edges: &[(usize, usize)]) -> smartflux_wms::WorkflowGraph {
     let mut b = GraphBuilder::new("prop");
     let ids: Vec<StepId> = (0..n).map(|i| b.add_step(format!("s{i}"))).collect();
@@ -51,6 +71,25 @@ proptest! {
             for &succ in g.successors(id) {
                 prop_assert!(pos(id) < pos(succ), "edge {id} → {succ} violated");
             }
+        }
+    }
+
+    /// Each cached level is 1 + the deepest predecessor's level (0 for
+    /// sources), and topological order never steps back to a lower level —
+    /// the level-parallel wave loop flushes where the level changes.
+    #[test]
+    fn topo_order_visits_levels_in_non_decreasing_order((n, edges) in shuffled_dag()) {
+        let g = build_graph(n, &edges);
+        for id in g.step_ids() {
+            let expected = g.predecessors(id).iter().map(|&p| g.level(p) + 1).max().unwrap_or(0);
+            prop_assert_eq!(g.level(id), expected, "level of {}", id);
+        }
+        for pair in g.topo_order().windows(2) {
+            prop_assert!(
+                g.level(pair[0]) <= g.level(pair[1]),
+                "{} (level {}) precedes {} (level {})",
+                pair[0], g.level(pair[0]), pair[1], g.level(pair[1])
+            );
         }
     }
 
